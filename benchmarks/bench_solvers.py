@@ -11,6 +11,10 @@ The grid benchmark is the PR's solver fast-path gate: a dense R(t) grid
 solved with the SolverCache (one scaled decomposition propagated along the
 grid) must be at least 2x faster than the reference path (one independent
 matrix exponential per point) while agreeing within solver tolerance.
+
+The system-MTTF gate holds the exact BBW system MTTF (one solve over the
+Kronecker sum of the two subsystem chains) to the adaptive quadrature of
+R_sys(t) it replaced: within 1e-8 relative and at least 50x faster.
 """
 
 import numpy as np
@@ -18,9 +22,10 @@ import pytest
 
 import common
 from repro import perf
-from repro.models import BbwParameters, build_wn_nlft_degraded
+from repro.models import BbwParameters, build_bbw_system, build_wn_nlft_degraded
 from repro.reliability import (
     clear_solver_cache,
+    mttf_from_reliability,
     transient_distribution,
     transient_distributions,
 )
@@ -38,6 +43,12 @@ HORIZON_HOURS = 100.0
 GRID_POINTS = 201
 REQUIRED_SPEEDUP = 2.0
 BEST_OF = 3
+
+#: The system-MTTF gate: quadrature horizon (R_sys is numerically zero long
+#: before 80 years), agreement and required speedup of the exact solve.
+MTTF_HORIZON_HOURS = 80.0 * HOURS_PER_YEAR
+MTTF_TOLERANCE = 1e-8
+MTTF_REQUIRED_SPEEDUP = 50.0
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +111,7 @@ def test_benchmark_transient_grid_fast_vs_reference(chain):
 
 def test_benchmark_mttf_exact_vs_integration(benchmark, chain):
     """Fundamental-matrix MTTF vs numerical integration of R(t)."""
-    from repro.reliability import markov_reliability_fn, mttf_from_reliability
+    from repro.reliability import markov_reliability_fn
 
     exact = chain.mttf()
     integrated = benchmark.pedantic(
@@ -111,3 +122,40 @@ def test_benchmark_mttf_exact_vs_integration(benchmark, chain):
     )
     assert integrated == pytest.approx(exact, rel=1e-3)
     common.report("solvers.mttf_integration", wall_s=common.benchmark_mean(benchmark))
+
+
+def test_benchmark_bbw_system_mttf_exact_vs_quadrature():
+    """The system-MTTF gate on the FS degraded model: the exact solve agrees
+    with the quadrature of R_sys(t) and is >= 50x faster.  Each call builds
+    a fresh model, so no memoised R(t) point carries over between calls."""
+    params = BbwParameters.paper()
+
+    values = {}
+
+    def fresh_model():
+        clear_solver_cache()
+        return build_bbw_system(params, "fs", "degraded")
+
+    def exact():
+        values["exact"] = fresh_model().mttf_hours()
+
+    def quadrature():
+        values["quadrature"] = mttf_from_reliability(
+            fresh_model().reliability, horizon=MTTF_HORIZON_HOURS
+        )
+
+    exact_s = common.best_of(BEST_OF, exact)
+    quadrature_s = common.best_of(1, quadrature)
+    speedup = quadrature_s / max(exact_s, 1e-12)
+
+    common.report(
+        "solvers.bbw_system_mttf_exact",
+        wall_s=exact_s,
+        quadrature_s=round(quadrature_s, 6),
+        speedup=round(speedup, 1),
+    )
+    assert values["exact"] == pytest.approx(values["quadrature"], rel=MTTF_TOLERANCE)
+    assert speedup >= MTTF_REQUIRED_SPEEDUP, (
+        f"exact system MTTF must be >= {MTTF_REQUIRED_SPEEDUP}x the quadrature, "
+        f"measured {speedup:.1f}x"
+    )

@@ -6,8 +6,9 @@ Paper numbers for the degraded-functionality configuration:
 * MTTF: 1.2 years (FS) -> 1.9 years (NLFT), an almost-60% increase.
 
 This driver computes both measures for all four configurations and the
-per-subsystem exact MTTFs (from the fundamental matrix) as a cross-check on
-the numerically integrated system MTTF.
+per-subsystem MTTFs.  All MTTFs are exact fundamental-matrix solves: the
+system MTTF over the Kronecker sum of the two subsystem chains, the
+subsystem MTTFs over each chain alone.
 """
 
 from __future__ import annotations

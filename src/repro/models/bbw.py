@@ -18,7 +18,7 @@ from ..reliability import (
     OrGate,
     markov_event,
     markov_reliability_fn,
-    mttf_from_reliability,
+    mean_time_to_first_absorption,
 )
 from ..reliability.faulttree import FaultTreeNode
 from ..units import HOURS_PER_YEAR
@@ -28,11 +28,6 @@ from .wheel_nodes import build_wheel_subsystem
 
 NODE_TYPES = ("fs", "nlft")
 MODES = ("full", "degraded")
-
-#: A practical integration horizon for BBW MTTFs (hours).  The slowest
-#: configuration (NLFT, degraded) has MTTF around 1.9 years; 80 years is far
-#: beyond the point where R(t) is numerically zero.
-MTTF_HORIZON_HOURS = 80.0 * HOURS_PER_YEAR
 
 
 @dataclasses.dataclass
@@ -101,8 +96,14 @@ class BbwSystemModel:
         ]
 
     def mttf_hours(self) -> float:
-        """System MTTF in hours (numerical integration of R)."""
-        return mttf_from_reliability(self.reliability, horizon=MTTF_HORIZON_HOURS)
+        """Exact system MTTF in hours.
+
+        The OR tree fails at the first subsystem absorption, so the MTTF is
+        one fundamental-matrix solve over the Kronecker sum of the two
+        chains (:func:`~repro.reliability.absorbing.mean_time_to_first_absorption`),
+        the value integrating ``R_CU(t) * R_WN(t)`` would approach.
+        """
+        return mean_time_to_first_absorption([self.central_unit, self.wheel_subsystem])
 
     def mttf_years(self) -> float:
         """System MTTF in years (the unit the paper quotes)."""

@@ -23,6 +23,7 @@ from .absorbing import (
     absorption_probabilities,
     expected_visits,
     mean_time_to_absorption,
+    mean_time_to_first_absorption,
 )
 from .ctmc import MarkovChain, Transition, rate_sum
 from .faulttree import AndGate, BasicEvent, KofNGate, OrGate
@@ -107,6 +108,7 @@ __all__ = [
     "markov_event",
     "markov_reliability_fn",
     "mean_time_to_absorption",
+    "mean_time_to_first_absorption",
     "mttf_from_reliability",
     "mttf_improvement",
     "parse_sharpe",

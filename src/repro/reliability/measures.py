@@ -5,10 +5,12 @@ The paper reports two headline measures (Section 3.4):
 * reliability at a mission time (R after one year), and
 * mean time to failure, MTTF = integral of R(t) dt from 0 to infinity.
 
-For composed models (fault tree over Markov subsystems) no closed form
-exists, so :func:`mttf_from_reliability` integrates numerically with an
-adaptive horizon.  For a single CTMC prefer
-:meth:`repro.reliability.ctmc.MarkovChain.mttf`, which is exact.
+:func:`mttf_from_reliability` integrates any R(t) numerically with an
+adaptive horizon.  Where a closed form exists prefer it: for a single CTMC
+:meth:`repro.reliability.ctmc.MarkovChain.mttf`, and for independent CTMCs
+in series (an OR fault tree over Markov subsystems, as in the BBW model)
+:func:`repro.reliability.absorbing.mean_time_to_first_absorption`.  Both
+are exact; this module's quadrature is their test oracle.
 """
 
 from __future__ import annotations

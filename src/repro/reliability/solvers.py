@@ -115,7 +115,7 @@ def steady_state(chain: MarkovChain) -> np.ndarray:
     Solved as a constrained linear system.  Chains with absorbing states
     reachable from everywhere trivially put all mass on the absorbing class;
     irreducibility is the caller's responsibility (we verify the result
-    satisfies the balance equations and rais a :class:`ModelError` for
+    satisfies the balance equations and raise a :class:`ModelError` for
     singular systems).
     """
     q = chain.generator_matrix()

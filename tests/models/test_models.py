@@ -19,7 +19,7 @@ from repro.models import (
     build_wn_nlft_degraded,
     build_wn_nlft_full,
 )
-from repro.reliability import rate_sum
+from repro.reliability import mttf_from_reliability, rate_sum
 from repro.units import HOURS_PER_YEAR
 
 
@@ -182,3 +182,44 @@ class TestSystemComposition:
         assert chain.reliability(t) == pytest.approx(
             math.exp(-4 * p.lambda_p * t), rel=1e-9
         )
+
+
+#: reliability_curve at (0, 1 day, 1 year) and subsystem MTTFs (years) of
+#: the degraded configurations, as computed before the system MTTF became
+#: exact; neither path depends on how the system MTTF is obtained.
+CURVE_TIMES = (0.0, 24.0, HOURS_PER_YEAR)
+DEGRADED_FIXED = {
+    "fs": (
+        (1.0, 0.9996974802296215, 0.46434930430007954),
+        {"central_unit": 3.364211497784334, "wheel_subsystem": 1.5965706034579616},
+    ),
+    "nlft": (
+        (1.0, 0.9997092018548159, 0.7116561256557103),
+        {"central_unit": 5.552006217193431, "wheel_subsystem": 2.3258403787386692},
+    ),
+}
+
+
+class TestSystemMttf:
+    """The exact series MTTF against the quadrature of R_sys(t)."""
+
+    @pytest.mark.parametrize("node_type", ["fs", "nlft"])
+    def test_exact_matches_quadrature_oracle(self, p, node_type):
+        model = build_bbw_system(p, node_type, "degraded")
+        oracle = mttf_from_reliability(model.reliability, horizon=80 * HOURS_PER_YEAR)
+        assert model.mttf_hours() == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("node_type, years", [("fs", 1.195), ("nlft", 1.927)])
+    def test_e2_figures(self, p, node_type, years):
+        assert round(build_bbw_system(p, node_type, "degraded").mttf_years(), 3) == years
+
+    @pytest.mark.parametrize("node_type", ["fs", "nlft"])
+    def test_curve_and_subsystem_mttf_unchanged(self, p, node_type):
+        model = build_bbw_system(p, node_type, "degraded")
+        curve, subsystem_years = DEGRADED_FIXED[node_type]
+        assert model.reliability_curve(CURVE_TIMES) == pytest.approx(curve, rel=1e-12)
+        measured = {
+            name: hours / HOURS_PER_YEAR
+            for name, hours in model.subsystem_mttf_hours().items()
+        }
+        assert measured == pytest.approx(subsystem_years, rel=1e-12)

@@ -11,6 +11,7 @@ from repro.reliability import (
     absorption_probabilities,
     expected_visits,
     mean_time_to_absorption,
+    mean_time_to_first_absorption,
     rate_sum,
     steady_state,
     transient_distribution,
@@ -197,6 +198,67 @@ class TestReliabilityAndMttf:
         chain.set_initial("up")
         visits = expected_visits(chain)
         assert sum(visits.values()) == pytest.approx(chain.mttf(), rel=1e-10)
+
+
+class TestFirstAbsorption:
+    """MTTF of independent chains in series (Kronecker-sum solve)."""
+
+    def test_one_chain_equals_its_mttf(self):
+        chain = MarkovChain(["up", "degraded", "failed"], name="phases")
+        chain.add_transition("up", "degraded", 0.5)
+        chain.add_transition("degraded", "up", 2.0)
+        chain.add_transition("degraded", "failed", 0.25)
+        chain.set_initial("up")
+        assert mean_time_to_first_absorption([chain]) == chain.mttf()
+
+    @pytest.mark.parametrize("rates", [(0.2, 0.3), (0.1, 0.25, 0.4)])
+    def test_exponential_chains_race(self, rates):
+        chains = [absorbing_chain(lam) for lam in rates]
+        assert mean_time_to_first_absorption(chains) == pytest.approx(
+            1.0 / sum(rates), rel=1e-12
+        )
+
+    def test_series_of_phases_against_exponential(self):
+        phases = MarkovChain(["up", "degraded", "failed"])
+        phases.add_transition("up", "degraded", 1.0)
+        phases.add_transition("degraded", "failed", 2.0)
+        phases.set_initial("up")
+        # Race against Exp(0.5): 1/1.5 in "up", then P(reach degraded) = 1/1.5
+        # times 1/2.5 in "degraded".
+        expected = 1.0 / 1.5 + (1.0 / 1.5) * (1.0 / 2.5)
+        assert mean_time_to_first_absorption(
+            [phases, absorbing_chain(0.5)]
+        ) == pytest.approx(expected, rel=1e-12)
+
+    def test_initial_mass_on_failure_state(self):
+        split = absorbing_chain(0.25)
+        split.set_initial({"up": 0.6, "failed": 0.4})
+        other = absorbing_chain(0.75)
+        assert mean_time_to_first_absorption([split]) == pytest.approx(
+            mean_time_to_absorption(split), rel=1e-12
+        )
+        assert mean_time_to_first_absorption([split, other]) == pytest.approx(
+            0.6 / (0.25 + 0.75), rel=1e-12
+        )
+        started_failed = absorbing_chain(0.25)
+        started_failed.set_initial("failed")
+        assert mean_time_to_first_absorption([started_failed, other]) == 0.0
+
+    def test_unreachable_failure_state_raises(self):
+        chain = MarkovChain(["a", "b", "failed"], name="cycle")
+        chain.add_transition("a", "b", 1.0)
+        chain.add_transition("b", "a", 1.0)
+        chain.set_initial("a")
+        with pytest.raises(NotAbsorbingError):
+            mean_time_to_first_absorption([chain])
+
+    def test_chain_without_absorbing_state_raises(self):
+        with pytest.raises(NotAbsorbingError):
+            mean_time_to_first_absorption([absorbing_chain(0.1), two_state_repairable()])
+
+    def test_no_chains_rejected(self):
+        with pytest.raises(ModelError):
+            mean_time_to_first_absorption([])
 
 
 class TestSteadyState:
